@@ -183,6 +183,28 @@ std::optional<std::string> load_index_equivalence(System& system, CheckPhase) {
   return std::nullopt;
 }
 
+// --- joined-peer index vs. registry scan -------------------------------------
+
+std::optional<std::string> joined_index_matches_scan(System& system,
+                                                     CheckPhase) {
+  const core::PeerRegistry& registry = system.peer_registry();
+  std::vector<util::PeerId> scan;
+  registry.for_each_node([&](std::uint32_t row, const core::PeerNode& node) {
+    if (node.alive() && node.joined()) scan.push_back(registry.id(row));
+  });
+  std::sort(scan.begin(), scan.end());
+  const auto& index = system.joined_peer_ids();
+  if (index == scan) return std::nullopt;
+  std::ostringstream msg;
+  msg << "joined index holds " << index.size() << " ids, scan finds "
+      << scan.size();
+  const auto [i, s] =
+      std::mismatch(index.begin(), index.end(), scan.begin(), scan.end());
+  if (i != index.end()) msg << "; index has " << *i;
+  if (s != scan.end()) msg << "; scan has " << *s;
+  return msg.str();
+}
+
 // --- per-dispatch LLS laxity ordering -----------------------------------------
 
 std::optional<std::string> lls_laxity_ordering(System& system, CheckPhase) {
@@ -502,6 +524,7 @@ void InvariantChecker::register_defaults(InvariantChecker& checker) {
   checker.add("ledger.conservation", false, ledger_conservation);
   checker.add("net.conservation", false, net_conservation);
   checker.add("load_index.equivalence", false, load_index_equivalence);
+  checker.add("registry.joined_index", false, joined_index_matches_scan);
   checker.add("sched.lls_laxity", false, lls_laxity_ordering);
   checker.add("rm.backup_convergence", true, backup_convergence);
   checker.add("gossip.summary_superset", true, summary_superset);

@@ -66,6 +66,7 @@ class InvariantChecker {
   //   net.conservation         every send is delivered, dropped, partitioned
   //                            or undeliverable at most once
   //   load_index.equivalence   incremental LoadIndex == linear recompute
+  //   registry.joined_index    System's joined-peer index == node scan
   //   sched.lls_laxity         per-dispatch least-laxity ordering
   //   rm.backup_convergence    RM and backup info bases agree at quiescence
   //   gossip.summary_superset  Bloom summaries ⊇ actual objects/services

@@ -36,7 +36,7 @@ PeerNode::~PeerNode() { stop_local_work(); }
 // Lifecycle
 
 void PeerNode::start(std::optional<util::PeerId> contact) {
-  alive_ = true;
+  set_membership(true, joined_);
   last_activity_ = system_.simulator().now();
   boot_contact_ = contact;
   if (!contact) {
@@ -60,14 +60,19 @@ void PeerNode::leave() {
   // paper's §4.1 describes succession only through the backup "sensing the
   // withdrawn connection".
   stop_local_work();
-  alive_ = false;
-  joined_ = false;
+  set_membership(false, false);
 }
 
 void PeerNode::crash() {
   stop_local_work();
-  alive_ = false;
-  joined_ = false;
+  set_membership(false, false);
+}
+
+void PeerNode::set_membership(bool alive, bool joined) {
+  const bool was = alive_ && joined_;
+  alive_ = alive;
+  joined_ = joined;
+  if (was != (alive && joined)) system_.note_joined(spec_.id, !was);
 }
 
 void PeerNode::stop_local_work() {
@@ -129,7 +134,7 @@ void PeerNode::become_rm(util::DomainId domain,
   domain_ = domain;
   my_rm_ = spec_.id;
   epoch_ = epoch;
-  joined_ = true;
+  set_membership(alive_, true);
   rm_ = std::make_unique<ResourceManager>(*this, domain, std::move(known_rms),
                                           std::move(restored), epoch);
   rm_->start();
@@ -311,7 +316,7 @@ void PeerNode::schedule_join_retry() {
 
 void PeerNode::on_join_accept(util::PeerId from, const overlay::JoinAccept& m) {
   if (joined_) return;
-  joined_ = true;
+  set_membership(alive_, true);
   redirect_hops_ = 0;
   join_attempts_ = 0;
   domain_ = m.domain;
@@ -440,7 +445,7 @@ bool PeerNode::try_readopt(util::PeerId from, util::DomainId domain,
       << epoch_ << " joined=" << joined_ << ")";
   if (alive_ == false || joined_ || rm_) return false;
   if (domain != domain_ || epoch < epoch_) return false;
-  joined_ = true;
+  set_membership(alive_, true);
   redirect_hops_ = 0;
   join_attempts_ = 0;
   ++join_watchdog_token_;  // disarm any pending join watchdog
@@ -533,7 +538,7 @@ void PeerNode::membership_check_tick() {
 
 void PeerNode::rejoin() {
   ++stats_.rejoin_attempts;
-  joined_ = false;
+  set_membership(alive_, false);
   my_rm_ = util::PeerId::invalid();
   backup_copy_.reset();
   conns_.drop_everything();

@@ -207,8 +207,11 @@ class PeerNode {
   overlay::ConnectionManager conns_;
   std::unique_ptr<ResourceManager> rm_;
 
+  // Written only through set_membership, which reports each edge of
+  // (alive_ && joined_) to System's joined-peer index.
   bool alive_ = false;
   bool joined_ = false;
+  void set_membership(bool alive, bool joined);
   util::DomainId domain_;
   util::PeerId my_rm_;
   std::uint64_t epoch_ = 0;

@@ -68,9 +68,11 @@ PeerNode* PeerRegistry::attach_node(std::uint32_t row,
     slot = free_slots_.back();
     free_slots_.pop_back();
     nodes_[slot] = std::move(node);
+    slot_row_[slot] = row;
   } else {
     slot = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(std::move(node));
+    slot_row_.push_back(row);
   }
   node_slot_[row] = slot;
   ++materialized_;

@@ -105,14 +105,14 @@ class PeerRegistry {
   }
   [[nodiscard]] std::size_t materialized() const { return materialized_; }
 
-  // Calls fn(row, PeerNode&) for every row that has a node, in unspecified
-  // order — callers that expose ordering must sort, exactly as they did
-  // over the old unordered_map.
+  // Calls fn(row, PeerNode&) for every row that has a node, in slot order
+  // (not row or id order) — callers that expose ordering must sort or fold
+  // commutatively. Walks node slots, so it costs O(materialized + free
+  // slots), never O(rows).
   template <typename Fn>
   void for_each_node(Fn&& fn) const {
-    for (std::uint32_t row = 0; row < id_.size(); ++row) {
-      const std::uint32_t s = node_slot_[row];
-      if (s != kNoSlot) fn(row, *nodes_[s]);
+    for (std::uint32_t s = 0; s < nodes_.size(); ++s) {
+      if (nodes_[s] != nullptr) fn(slot_row_[s], *nodes_[s]);
     }
   }
   // Calls fn(row) for every row, materialized or not.
@@ -152,8 +152,10 @@ class PeerRegistry {
 
   util::FlatMap<std::uint64_t, std::uint32_t> row_of_;
 
-  // Materialized nodes; free_slots_ recycles holes left by detach_node.
+  // Materialized nodes; free_slots_ recycles holes left by detach_node
+  // (a free slot holds nullptr). slot_row_ is the inverse of node_slot_.
   std::vector<std::unique_ptr<PeerNode>> nodes_;
+  std::vector<std::uint32_t> slot_row_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t materialized_ = 0;
 

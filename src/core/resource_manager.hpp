@@ -44,6 +44,9 @@ struct RmStats {
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_missed = 0;
   std::uint64_t tasks_failed = 0;
+  // Members removed from the domain, graceful leaves included: on_leave
+  // (a LeaveNotice, also sent by a demoted peer) goes through the same
+  // handle_member_failure as a detected failure.
   std::uint64_t member_failures = 0;
   std::uint64_t recoveries_attempted = 0;
   std::uint64_t recoveries_succeeded = 0;

@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -536,16 +537,30 @@ std::vector<util::PeerId> System::resource_manager_ids() const {
 }
 
 std::optional<util::PeerId> System::random_alive_peer(util::PeerId exclude) {
-  std::vector<util::PeerId> candidates;
-  registry_.for_each_node([&](std::uint32_t row, const PeerNode& node) {
-    const util::PeerId id = registry_.id(row);
-    if (id != exclude && node.alive() && node.joined()) {
-      candidates.push_back(id);
-    }
-  });
-  if (candidates.empty()) return std::nullopt;
-  std::sort(candidates.begin(), candidates.end());
-  return candidates[placement_rng_.below(candidates.size())];
+  // Same draw as collecting every other joined id, sorting and taking
+  // index below(n): skip over `exclude`'s rank instead of removing it.
+  const auto it =
+      std::lower_bound(joined_index_.begin(), joined_index_.end(), exclude);
+  const bool excluded = it != joined_index_.end() && *it == exclude;
+  const std::size_t n = joined_index_.size() - (excluded ? 1 : 0);
+  if (n == 0) return std::nullopt;
+  std::size_t k = placement_rng_.below(n);
+  if (excluded && static_cast<std::size_t>(it - joined_index_.begin()) <= k) {
+    ++k;
+  }
+  return joined_index_[k];
+}
+
+void System::note_joined(util::PeerId peer, bool joined) {
+  const auto it =
+      std::lower_bound(joined_index_.begin(), joined_index_.end(), peer);
+  if (joined) {
+    assert(it == joined_index_.end() || *it != peer);
+    joined_index_.insert(it, peer);
+  } else {
+    assert(it != joined_index_.end() && *it == peer);
+    joined_index_.erase(it);
+  }
 }
 
 std::size_t System::alive_count() const {
@@ -617,8 +632,9 @@ std::vector<System::DomainInfo> System::domains() const {
                                rm->info().domain().size()});
     }
   });
+  // (domain, rm): two live RMs may claim one domain during a split brain.
   std::sort(out.begin(), out.end(), [](const DomainInfo& a, const DomainInfo& b) {
-    return a.domain < b.domain;
+    return a.domain != b.domain ? a.domain < b.domain : a.rm < b.rm;
   });
   return out;
 }
